@@ -242,10 +242,9 @@ func TestInboxCloseUnblocksBoundedPush(t *testing.T) {
 }
 
 // TestBroadcastBatchSteadyStateAllocs pins the batch path's allocation
-// contract: once queues and slabs are warm, a BroadcastBatch call whose
-// messages carry no payload bytes allocates nothing at all — the only
-// steady-state allocation in the batch path is the per-batch payload slab,
-// which is sized by the batch's payload bytes.
+// contract: once queues are warm, a BroadcastBatch call allocates nothing
+// at all, payload and nondet words included — the bus shares the sender's
+// slices with every target instead of copying them.
 func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 	bus := New(&trace.Metrics{}, nil)
 	for c := types.ClusterID(0); c < 3; c++ {
@@ -263,23 +262,82 @@ func TestBroadcastBatchSteadyStateAllocs(t *testing.T) {
 		}()
 	}
 	route := types.Route{Dst: 0, DstBackup: 1, SrcBackup: 2}
-	batch := make([]*types.Message, 64)
-	for j := range batch {
-		batch[j] = dataMsg(1, 2, route, "")
-	}
-	send := func() {
-		if _, err := bus.BroadcastBatch(batch); err != nil {
-			t.Fatal(err)
+	for _, payload := range []string{"", string(make([]byte, 4096))} {
+		batch := make([]*types.Message, 64)
+		for j := range batch {
+			batch[j] = dataMsg(1, 2, route, payload)
+			batch[j].Nondet = []uint64{uint64(j)}
 		}
-	}
-	for i := 0; i < 200; i++ { // warm queue capacities past their high-water mark
-		send()
-	}
-	if allocs := testing.AllocsPerRun(200, send); allocs > 0 {
-		t.Fatalf("BroadcastBatch allocated %.2f objects per payload-free batch; want 0", allocs)
+		send := func() {
+			if _, err := bus.BroadcastBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 200; i++ { // warm queue capacities past their high-water mark
+			send()
+		}
+		if allocs := testing.AllocsPerRun(200, send); allocs > 0 {
+			t.Fatalf("BroadcastBatch allocated %.2f objects per batch of %d-byte payloads; want 0", allocs, len(payload))
+		}
 	}
 	for c := types.ClusterID(0); c < 3; c++ {
 		bus.Detach(c)
+	}
+}
+
+// TestBroadcastBatchSharesSenderPayload: the bus never copies. All three
+// targets receive the sender's own payload and nondet backing arrays.
+func TestBroadcastBatchSharesSenderPayload(t *testing.T) {
+	b := New(&trace.Metrics{}, nil)
+	ins := []*Inbox{b.Attach(0), b.Attach(1), b.Attach(2)}
+	m := dataMsg(1, 2, types.Route{Dst: 0, DstBackup: 1, SrcBackup: 2}, "shared bytes")
+	m.Nondet = []uint64{7, 8}
+	if _, err := b.BroadcastBatch([]*types.Message{m}); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		ms, ok := in.PopAll(nil)
+		if !ok || len(ms) != 1 {
+			t.Fatalf("cluster %d received %d messages", in.Cluster(), len(ms))
+		}
+		if &ms[0].Payload[0] != &m.Payload[0] || &ms[0].Nondet[0] != &m.Nondet[0] {
+			t.Fatalf("cluster %d received a copy, not the sender's payload", in.Cluster())
+		}
+	}
+}
+
+// TestPopAllReleasesRecycledBuffer: a receive buffer that grew during a
+// burst and is recycled by PopAll holds no consumed message in its spare
+// capacity, so a finished batch keeps no payload reachable.
+func TestPopAllReleasesRecycledBuffer(t *testing.T) {
+	b := New(&trace.Metrics{}, nil)
+	in := b.Attach(1)
+	send := func(n int) {
+		batch := make([]*types.Message, n)
+		for i := range batch {
+			batch[i] = dataMsg(1, 2, types.Route{Dst: 1}, fmt.Sprint(i))
+			batch[i].Nondet = []uint64{uint64(i)}
+		}
+		if _, err := b.BroadcastBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(100) // burst
+	held, _ := in.PopAll(nil)
+	for round := 0; round < 3; round++ { // small drains recycle the burst's array
+		send(2)
+		held, _ = in.PopAll(held)
+	}
+	send(2)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if cap(in.q) < 100 {
+		t.Fatalf("queue capacity %d: the burst buffer was not recycled", cap(in.q))
+	}
+	for i, m := range in.q[len(in.q):cap(in.q)] {
+		if m.Payload != nil || m.Nondet != nil {
+			t.Fatalf("spare slot %d still holds a consumed message (payload %q)", len(in.q)+i, m.Payload)
+		}
 	}
 }
 

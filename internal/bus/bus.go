@@ -673,16 +673,13 @@ func globalKind(k types.Kind) bool {
 // each delivered message value is written exactly once, directly into its
 // target queues — no staging list, no second copy at flush.
 //
-// Unlike Broadcast, which heap-clones per target, the batch path writes
-// message values straight into each target's receive buffers and copies
-// all payload bytes into one shared per-batch slab: §5.1 says copies are
-// executive work, not bus work, so steady-state batched delivery
-// allocates nothing per message beyond its payload bytes, and the
-// per-executive private copy happens in the receiving cluster's dispatch
-// loop, off the shared critical section. Receivers must treat payload and
-// nondet slices of delivered messages as read-only (they are shared by
-// all three targets; the kernel's dispatch takes a shallow copy of the
-// message itself before stamping arrival state).
+// The bus never copies payload bytes (§5.1: copies are executive work, not
+// bus work). Each message's Payload and Nondet are owned by its sender,
+// who made the one private copy (the kernel's Write, the transmit loop's
+// encode of a lazy payload) and never mutates them again; every target
+// shares those slices read-only, so steady-state batched delivery
+// allocates nothing at all. The kernel's dispatch takes a shallow copy of
+// the message value before stamping arrival state.
 //
 // Returns the number of messages transmitted. On error, msgs[sent:] were
 // not transmitted and not delivered anywhere (the batch analogue of
@@ -692,18 +689,6 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	// All payload bytes of the batch are copied into one contiguous slab —
-	// a single allocation replacing one per message per target. The copies
-	// are safe to share across the three targets because receivers treat
-	// payload bytes and nondet words as read-only (values are decoded out,
-	// never written back). Sizing and allocating the slab reads only the
-	// caller-owned batch, so it happens before the ordering critical
-	// section is entered.
-	payloadTotal := 0
-	for _, m := range msgs {
-		payloadTotal += len(m.Payload)
-	}
-	payloadSlab := make([]byte, 0, payloadTotal)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	// Acquire every attached cluster's receive buffer for the duration of
@@ -732,16 +717,6 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 		}
 		sent++
 		txBytes += uint64(len(m.Payload))
-		var payload []byte
-		if len(m.Payload) > 0 {
-			off := len(payloadSlab)
-			payloadSlab = append(payloadSlab, m.Payload...)
-			payload = payloadSlab[off:len(payloadSlab):len(payloadSlab)]
-		}
-		var nondet []uint64
-		if len(m.Nondet) > 0 {
-			nondet = append([]uint64(nil), m.Nondet...)
-		}
 		if b.delayArmed > 0 {
 			// Held transmissions fall off the batch fast path: a delayed
 			// entry stages nothing now and releases through push after
@@ -766,7 +741,7 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 					continue
 				}
 				for i := 0; i < copies; i++ {
-					if p.in.stageLocked(m, payload, nondet) {
+					if p.in.appendLocked(m) {
 						p.dirty = true
 						deliveries++
 						b.logReceive(m, p.c)
@@ -791,7 +766,7 @@ func (b *Bus) BroadcastBatch(msgs []*types.Message) (int, error) {
 				continue
 			}
 			for i := 0; i < copies; i++ {
-				if p.in.stageLocked(m, payload, nondet) {
+				if p.in.appendLocked(m) {
 					p.dirty = true
 					deliveries++
 					b.logReceive(m, p.c)
@@ -835,8 +810,8 @@ type Inbox struct {
 	space *sync.Cond // signaled when a bounded queue frees a slot
 	// q stores message VALUES, not pointers: queue slots are the cluster's
 	// receive buffers, and PopAll recycles their backing arrays between
-	// the bus and the consumer, so steady-state delivery allocates nothing
-	// per message beyond the payload bytes.
+	// the bus and the consumer, so steady-state batched delivery allocates
+	// nothing.
 	q      []types.Message
 	limit  int // 0: unbounded
 	peak   int
@@ -899,10 +874,18 @@ func (in *Inbox) Peak() int {
 	return in.peak
 }
 
-// appendLocked enqueues a copy of *m, waiting for a slot when bounded.
-// Returns false once the inbox is closed. Caller holds in.mu.
+// appendLocked appends one delivered message value behind the queue; its
+// payload and nondet slices stay shared with the sender and every other
+// target (read-only, see BroadcastBatch). Caller already holds in.mu —
+// the batch path acquires every target inbox once for the whole batch and
+// signals the consumer once at release. A bounded queue that is out of
+// receive-buffer space wakes its consumer and waits for room (space.Wait
+// releases in.mu, so the consumer can drain mid-batch). Returns false if
+// the inbox is closed: a powered-off cluster loses its receive buffers and
+// the message is simply not received there.
 func (in *Inbox) appendLocked(m *types.Message) bool {
 	for in.limit > 0 && len(in.q) >= in.limit && !in.closed {
+		in.cond.Signal()
 		in.space.Wait()
 	}
 	if in.closed {
@@ -925,34 +908,6 @@ func (in *Inbox) push(m *types.Message) int {
 	}
 	in.cond.Signal()
 	return len(in.q)
-}
-
-// stageLocked appends one delivered message value behind the queue, with
-// payload and nondet swapped for the bus-owned per-batch copies (m itself
-// stays caller-owned; its slices are never shared with receivers). Caller
-// already holds in.mu — the batch path acquires every target inbox once
-// for the whole batch and signals the consumer once at release. A bounded
-// queue that is out of receive-buffer space wakes its consumer and waits
-// for room (space.Wait releases in.mu, so the consumer can drain mid-
-// batch). Returns false if the inbox is closed: a powered-off cluster
-// loses its receive buffers and the message is simply not received there.
-func (in *Inbox) stageLocked(m *types.Message, payload []byte, nondet []uint64) bool {
-	for in.limit > 0 && len(in.q) >= in.limit && !in.closed {
-		in.cond.Signal()
-		in.space.Wait()
-	}
-	if in.closed {
-		return false
-	}
-	in.q = append(in.q, *m)
-	q := &in.q[len(in.q)-1]
-	q.Payload = payload
-	q.Nondet = nondet
-	q.Lazy = nil
-	if len(in.q) > in.peak {
-		in.peak = len(in.q)
-	}
-	return true
 }
 
 // Pop blocks until a message is available or the inbox is closed, and
@@ -985,9 +940,12 @@ func (in *Inbox) Pop() (*types.Message, bool) {
 // steady-state draining moves no messages and allocates nothing. The
 // caller must therefore be completely done with the previously returned
 // slice before passing it back — the executive copies each message before
-// handing it to process-level code (see Kernel.dispatch). The second
+// handing it to process-level code (see Kernel.dispatch). PopAll zeroes
+// buf before reusing it, so a buffer that grew during a burst does not
+// keep consumed payloads reachable from its spare capacity. The second
 // result is false once the inbox is closed and drained.
 func (in *Inbox) PopAll(buf []types.Message) ([]types.Message, bool) {
+	clear(buf)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	// Coming back for more means the previous batch has been fully consumed

@@ -173,8 +173,10 @@ func (d *Disk) Alloc(from types.ClusterID) (BlockID, error) {
 	return id, nil
 }
 
-// Write stores data (at most BlockSize bytes) in block id on every healthy
-// mirror.
+// Write stores a copy of data (at most BlockSize bytes) in block id on
+// every healthy mirror. Blocks are never mutated in place — a rewrite
+// replaces the slice, Read and Resilver copy out — so the mirrors share
+// that one copy.
 func (d *Disk) Write(from types.ClusterID, id BlockID, data []byte) error {
 	if err := d.checkPort(from); err != nil {
 		return err
@@ -182,6 +184,7 @@ func (d *Disk) Write(from types.ClusterID, id BlockID, data []byte) error {
 	if len(data) > d.blockSize {
 		return fmt.Errorf("disk %s: write of %d bytes exceeds block size %d", d.name, len(data), d.blockSize)
 	}
+	c := append([]byte(nil), data...)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	healthy := false
@@ -189,8 +192,6 @@ func (d *Disk) Write(from types.ClusterID, id BlockID, data []byte) error {
 		if d.failed[i] {
 			continue
 		}
-		c := make([]byte, len(data))
-		copy(c, data)
 		d.mirror[i][id] = c
 		healthy = true
 	}

@@ -223,6 +223,28 @@ func TestReadReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestWriteTakesOneCopy: Write keeps a private copy, so the caller may
+// reuse its buffer, and both mirrors share that copy: one allocation per
+// write, not one per mirror.
+func TestWriteTakesOneCopy(t *testing.T) {
+	d := New("t", 512, 0, 1)
+	id, _ := d.Alloc(0)
+	buf := []byte{1, 2, 3}
+	if err := d.Write(0, id, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 99
+	if got, _ := d.Read(1, id); got[0] != 1 {
+		t.Fatal("Write aliases the caller's buffer")
+	}
+	if !d.MirrorsEqual() {
+		t.Fatal("mirrors differ after a write")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.Write(0, id, buf) }); allocs != 1 {
+		t.Fatalf("Write allocated %.0f objects, want 1", allocs)
+	}
+}
+
 func TestStatsAndRange(t *testing.T) {
 	d := New("t", 512, 0, 1)
 	id, _ := d.Alloc(0)

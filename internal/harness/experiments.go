@@ -560,11 +560,10 @@ func E12BusThroughput(msgs, size, batch int) *Row {
 	b, m, stop := busThroughputRig()
 	route := throughputRoute(true)
 	payload := make([]byte, size)
-	// The producer reuses its message structs and payload buffer across
-	// sends, modeling the executive handing over its outgoing queue: the
-	// bus copies everything it delivers inside the critical section, so
-	// the sender retains ownership — the same contract the kernel's
-	// pooled wire writers rely on.
+	// The producer reuses its message structs and one payload buffer
+	// across sends, modeling the executive handing over its outgoing
+	// queue. The bus shares payloads with every target without copying;
+	// reuse is valid because nothing ever writes to this buffer.
 	tmpl := newSendRing(batch, route, payload)
 	start := time.Now()
 	if batch <= 1 {

@@ -550,73 +550,16 @@ func (k *Kernel) OutgoingBacklog() int {
 
 // txLoop is the executive processor's transmit half: it drains the
 // outgoing queue onto the bus in FIFO order, coalescing up to maxBatch
-// queued messages into one bus offer. Lazy payloads are resolved into
-// pooled wire buffers here — off the kernel lock and off the enqueuing
-// process's critical path — and the buffers are released once the bus has
-// cloned the payload for every destination.
+// queued messages into one bus offer.
 func (k *Kernel) txLoop() {
 	defer k.wg.Done()
-	var (
-		batch   []*types.Message
-		writers []*wire.Writer // parallel to batch; nil for eager payloads
-	)
+	var batch []*types.Message
 	for {
-		k.mu.Lock()
-		for (len(k.outgoing) == 0 || k.txHold) && !k.crashed && !k.stopped && !k.degraded {
-			k.txCond.Wait()
-		}
-		if k.crashed || k.stopped || k.degraded {
-			k.mu.Unlock()
+		var ok bool
+		if batch, ok = k.takeOutgoing(batch); !ok {
 			return
 		}
-		n := len(k.outgoing)
-		if n > k.maxBatch {
-			n = k.maxBatch
-		}
-		if k.drainJitter != nil && n > 1 {
-			// Schedule perturbation: coalesce a random FIFO prefix so the
-			// same workload exercises many batch boundaries. Order and
-			// delivery are unchanged — only where batches split.
-			n = 1 + k.drainJitter.Intn(n)
-		}
-		batch = append(batch[:0], k.outgoing[:n]...)
-		k.outgoing = k.outgoing[n:]
-		k.mu.Unlock()
-
-		// Resolve deferred payloads into pooled buffers. Encoders touch
-		// only data the enqueuer handed off (captured pages, retired sync
-		// state), so running them here is race-free.
-		writers = writers[:0]
-		for _, m := range batch {
-			// Stamp the sender's identity and incarnation: this is what
-			// lets receivers fence the whole batch if this kernel turns
-			// out to be a superseded primary. k.inc is immutable after New.
-			if m.Origin == types.NoCluster {
-				m.Origin = k.id
-				m.Inc = k.inc
-			}
-			var w *wire.Writer
-			if m.Lazy != nil {
-				w = wire.GetWriter()
-				m.Lazy.EncodePayload(w)
-				m.Payload = w.Bytes()
-				m.Lazy = nil
-			}
-			writers = append(writers, w)
-		}
-
-		err := k.transmitBatch(batch)
-
-		// The bus deep-clones payloads per destination inside its critical
-		// section, so once the offer returns the pooled buffers are ours
-		// again. Drop the aliases before recycling.
-		for i, w := range writers {
-			if w != nil {
-				batch[i].Payload = nil
-				wire.PutWriter(w)
-			}
-		}
-		if err != nil {
+		if err := k.transmitDrained(batch); err != nil {
 			// Both physical buses down past the retry budget: an
 			// untolerated multiple failure. The cluster is cut off;
 			// degrade so blocked processes unwind with
@@ -626,6 +569,67 @@ func (k *Kernel) txLoop() {
 			return
 		}
 	}
+}
+
+// takeOutgoing blocks until the outgoing queue holds messages the loop may
+// transmit, then moves up to maxBatch of them into batch (recycled; it
+// must have been cleared by transmitDrained). It returns false once the
+// cluster has crashed, stopped or degraded. The drained prefix of the
+// queue's backing array is cleared: transmitted messages must not stay
+// reachable from it until append next reallocates.
+func (k *Kernel) takeOutgoing(batch []*types.Message) ([]*types.Message, bool) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for (len(k.outgoing) == 0 || k.txHold) && !k.crashed && !k.stopped && !k.degraded {
+		k.txCond.Wait()
+	}
+	if k.crashed || k.stopped || k.degraded {
+		return batch, false
+	}
+	n := len(k.outgoing)
+	if n > k.maxBatch {
+		n = k.maxBatch
+	}
+	if k.drainJitter != nil && n > 1 {
+		// Schedule perturbation: coalesce a random FIFO prefix so the
+		// same workload exercises many batch boundaries. Order and
+		// delivery are unchanged — only where batches split.
+		n = 1 + k.drainJitter.Intn(n)
+	}
+	batch = append(batch[:0], k.outgoing[:n]...)
+	clear(k.outgoing[:n])
+	k.outgoing = k.outgoing[n:]
+	return batch, true
+}
+
+// transmitDrained stamps and offers one drained batch, then clears it so the
+// recycled slice holds no message past its transmission. Lazy payloads are
+// resolved here — off the kernel lock and off the enqueuing process's
+// critical path — into pooled wire buffers whose bytes are copied out
+// before transmit: the bus shares every payload with all its targets and
+// never copies, so each message must carry a private, immutable encoding.
+func (k *Kernel) transmitDrained(batch []*types.Message) error {
+	for _, m := range batch {
+		// Stamp the sender's identity and incarnation: this is what lets
+		// receivers fence the whole batch if this kernel turns out to be a
+		// superseded primary. k.inc is immutable after New.
+		if m.Origin == types.NoCluster {
+			m.Origin = k.id
+			m.Inc = k.inc
+		}
+		// Encoders touch only data the enqueuer handed off (captured
+		// pages, retired sync state), so running them here is race-free.
+		if m.Lazy != nil {
+			w := wire.GetWriter()
+			m.Lazy.EncodePayload(w)
+			m.Payload = append([]byte(nil), w.Bytes()...)
+			wire.PutWriter(w)
+			m.Lazy = nil
+		}
+	}
+	err := k.transmitBatch(batch)
+	clear(batch)
+	return err
 }
 
 // transmitBatch offers a batch to the bus, retrying the unsent suffix with

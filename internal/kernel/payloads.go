@@ -518,7 +518,8 @@ func (p *PageOut) Encode() []byte {
 
 // DecodePageOut parses a page-out payload. It fails closed: a truncated or
 // corrupted page batch yields an error and no pages, never a partial
-// prefix.
+// prefix. Page data aliases b — a transmitted payload is immutable — so
+// the page server's disk write is the one copy each page instance takes.
 func DecodePageOut(b []byte) (*PageOut, error) {
 	r := wire.NewReader(b)
 	p := &PageOut{
@@ -536,7 +537,7 @@ func DecodePageOut(b []byte) (*PageOut, error) {
 			break
 		}
 		fr := wire.NewReader(f)
-		pg := memory.Page{No: memory.PageNo(fr.U32()), Data: fr.Bytes32()}
+		pg := memory.Page{No: memory.PageNo(fr.U32()), Data: fr.View32()}
 		if err := fr.Done(); err != nil {
 			return nil, fmt.Errorf("kernel: page-out frame: %w", err)
 		}

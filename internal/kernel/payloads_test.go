@@ -293,6 +293,30 @@ func TestCheckpointMsgRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodePageOutAliasesPayload: page data decodes as views into the
+// immutable transmitted payload, capped so an append reallocates instead
+// of overwriting the payload; the page server's disk write is the one copy
+// each page takes.
+func TestDecodePageOutAliasesPayload(t *testing.T) {
+	enc := (&PageOut{PID: 7, Pages: []memory.Page{
+		{No: 1, Data: []byte{1, 2, 3}},
+		{No: 2, Data: []byte{4, 5}},
+	}}).Encode()
+	po, err := DecodePageOut(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[bytes.Index(enc, []byte{1, 2, 3})] = 9
+	if po.Pages[0].Data[0] != 9 {
+		t.Fatal("page data is a copy, not a view into the payload")
+	}
+	for _, pg := range po.Pages {
+		if cap(pg.Data) != len(pg.Data) {
+			t.Fatalf("page %d: view not capped, an append would overwrite the payload", pg.No)
+		}
+	}
+}
+
 func TestDecodersNeverPanicOnArbitraryBytes(t *testing.T) {
 	f := func(b []byte) bool {
 		// Every decoder must fail gracefully on corrupt payloads; the

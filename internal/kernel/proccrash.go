@@ -100,6 +100,7 @@ func (k *Kernel) handleProcCrashLocked(crashed types.ClusterID, pid types.PID) {
 		}
 		kept = append(kept, m)
 	}
+	clear(k.outgoing[len(kept):]) // dropped and held messages leave no alias behind
 	k.outgoing = kept
 
 	if k.pager != nil {

@@ -580,6 +580,7 @@ func (k *Kernel) fixOutgoingLocked(crashed types.ClusterID) {
 		}
 		kept = append(kept, m)
 	}
+	clear(k.outgoing[len(kept):]) // dropped and held messages leave no alias behind
 	k.outgoing = kept
 }
 

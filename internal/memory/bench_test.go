@@ -44,8 +44,11 @@ func BenchmarkTakeDirty(b *testing.B) {
 	}
 }
 
+// BenchmarkKVFlush measures a one-key change followed by Flush, which
+// re-sorts and re-serialises the whole heap. keys=4096 is the size of the
+// perfbench ledger workload's account heap.
 func BenchmarkKVFlush(b *testing.B) {
-	for _, keys := range []int{16, 256} {
+	for _, keys := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
 			kv, _ := NewKV(NewAddressSpace(1024))
 			for i := 0; i < keys; i++ {

@@ -229,7 +229,8 @@ type Message struct {
 	// monotone). Zero until delivery.
 	Seq Seq
 	// Payload is the message body. Kernel kinds encode structured payloads
-	// with package wire.
+	// with package wire. It is the sender's private copy and immutable
+	// once queued: the bus shares it, and Nondet, with every target.
 	Payload []byte
 	// Nondet piggybacks the results of nondeterministic events performed
 	// by the sender since its last message (§10): the copy seen by the
@@ -237,8 +238,9 @@ type Message struct {
 	// roll-forward.
 	Nondet []uint64
 	// Lazy, when non-nil, supplies Payload at transmit time: the sending
-	// executive's transmit loop encodes it into a pooled wire buffer just
-	// before offering the message to the bus, then clears it. It lets a
+	// executive's transmit loop encodes it into a pooled wire buffer and
+	// copies the bytes out just before offering the message to the bus,
+	// then clears it. It lets a
 	// syncing primary enqueue captured state by reference and resume
 	// immediately; the serialization cost moves off the process's critical
 	// path. The encoder must be safe to run on the transmit goroutine

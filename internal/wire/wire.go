@@ -194,6 +194,20 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 // Bytes32 consumes a uint32 length prefix and that many bytes. The result
 // is a copy, safe to retain.
 func (r *Reader) Bytes32() []byte {
+	b := r.View32()
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// View32 is Bytes32 without the copy: the result aliases the input buffer,
+// capped at its own length so an append cannot clobber what follows it.
+// Decoders use it only over buffers that are never mutated again, such as
+// transmitted message payloads (see bus.BroadcastBatch).
+func (r *Reader) View32() []byte {
 	n := r.U32()
 	if r.err != nil {
 		return nil
@@ -203,12 +217,7 @@ func (r *Reader) Bytes32() []byte {
 		return nil
 	}
 	b := r.take(int(n))
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	return b[:len(b):len(b)]
 }
 
 // Rest consumes and returns every remaining byte. The result aliases the
